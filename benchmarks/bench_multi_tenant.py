@@ -61,8 +61,8 @@ from repro.workloads.environment import VDMSTuningEnvironment
 from repro.datasets.registry import load_dataset
 
 SEED = 11
-#: Sized so one FLAT search costs ~10ms+: service time must dominate
-#: per-request HTTP/threading overhead or "isolation" would measure sockets.
+#: One FLAT search over this corpus costs ~10 ms+, far above the ~1 ms an
+#: HTTP round trip adds, so "isolation" measures the backend, not sockets.
 CORPUS_ROWS = 48_000
 DIMENSION = 64
 TOP_K = 10

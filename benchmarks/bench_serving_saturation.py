@@ -47,13 +47,14 @@ from repro.serving import ServingConfig, ServingFrontend, measure_saturation, ru
 from repro.vdms.server import VectorDBServer
 
 SEED = 7
-#: Sized so one FLAT search costs tens of milliseconds: the service time
-#: must dominate per-request HTTP/threading overhead, or "saturation" would
-#: measure the socket layer instead of the backend.
+#: One FLAT search over this corpus costs tens of milliseconds, far above
+#: the ~1 ms an HTTP round trip adds, so the probe measures the backend's
+#: saturation, not the socket layer's.
 CORPUS_ROWS = 96_000
 DIMENSION = 64
 TOP_K = 10
-#: Service must dominate HTTP overhead so "saturation" reflects backend work.
+#: One admission worker: saturation is that worker's service rate, and a
+#: full queue's wait is ``queue_depth x service time``.
 WORKERS = 1
 
 _state: dict = {}

@@ -5,8 +5,7 @@ Geo-radius, ArXiv-titles, deep-image) served through ``vector-db-benchmark``.
 Those files are not available offline, so this package generates synthetic
 datasets with the same *statistical character* — dimensionality regime,
 cluster structure and inter-dimension correlation — scaled down so a single
-configuration evaluation completes in milliseconds.  See DESIGN.md for the
-substitution rationale.
+configuration evaluation completes in milliseconds.
 """
 
 from repro.datasets.dataset import Dataset, DatasetSpec

@@ -68,7 +68,9 @@ load generator (:mod:`repro.serving.loadgen`) relies on.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -448,6 +450,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: _Server
+    # Nagle's algorithm holds the second of two small writes until the first
+    # is ACKed, and a client on a busy keep-alive connection delays that ACK
+    # by ~40 ms.  _send_json sends each response in one write; TCP_NODELAY
+    # keeps any other multi-write reply (the stdlib's error pages) prompt.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -455,12 +462,22 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # per-request lines on stderr would drown the load harness
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # allow_nan=False: RFC 8259 JSON has no NaN or Infinity.
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        # end_headers() would send the headers on their own, so render them
+        # in memory and send them with the body in one write.  The socket
+        # writer stays unbuffered: a client that went away fails this write,
+        # inside _dispatch's BrokenPipeError branch, with nothing left to resend.
+        socket_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            response = self.wfile.getvalue() + body
+        finally:
+            self.wfile = socket_file
+        self.wfile.write(response)
 
     def _read_json(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -670,7 +687,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return 200, {
             "ids": result.ids.tolist(),
-            "distances": result.distances.tolist(),
+            # Padded slots (id -1) carry an infinite distance; JSON has no
+            # Infinity, so they are sent as null.
+            "distances": [
+                [d if math.isfinite(d) else None for d in row]
+                for row in result.distances.tolist()
+            ],
             "num_queries": int(result.stats.num_queries),
             "cache_hits": int(result.stats.cache_hits),
         }

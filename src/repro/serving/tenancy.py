@@ -29,6 +29,7 @@ queries-per-dollar when the tenant declares a cost budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -65,10 +66,10 @@ class TenantSLO:
     def __post_init__(self) -> None:
         if not 0.0 <= float(self.recall_floor) <= 1.0:
             raise ValueError("recall_floor must be within [0, 1]")
-        if self.p99_latency_ms is not None and not float(self.p99_latency_ms) > 0.0:
-            raise ValueError("p99_latency_ms must be positive when set")
-        if self.cost_budget is not None and not float(self.cost_budget) > 0.0:
-            raise ValueError("cost_budget must be positive when set")
+        if self.p99_latency_ms is not None and not 0.0 < float(self.p99_latency_ms) < math.inf:
+            raise ValueError("p99_latency_ms must be positive and finite when set")
+        if self.cost_budget is not None and not 0.0 < float(self.cost_budget) < math.inf:
+            raise ValueError("cost_budget must be positive and finite when set")
 
     def objective(self) -> ObjectiveSpec:
         """The tuning objective this SLO implies.

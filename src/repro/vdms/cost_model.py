@@ -12,7 +12,7 @@ Calibration: the constants are chosen so the default configuration of the
 bundled ``glove-small`` dataset lands in the high hundreds of QPS and a few
 GiB of memory, the same order of magnitude as the paper's Milvus testbed,
 because the synthetic datasets stand in for corpora that are two to three
-orders of magnitude larger (see DESIGN.md).
+orders of magnitude larger.
 """
 
 from __future__ import annotations

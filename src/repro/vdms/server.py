@@ -228,14 +228,16 @@ class VectorDBServer:
         """
         if self.data_dir is None:
             raise DurabilityError("this server has no data directory to recover from")
+        # Close the collection being replaced first: its background
+        # maintenance could otherwise rotate the WAL mid-recovery.
+        replaced = self._collections.pop(name, None)
+        if replaced is not None:
+            replaced.close()
         collection = Collection.recover(
             self._fs.join(self.data_dir, name),
             filesystem=self._fs,
             index_cache=self._index_cache,
         )
-        replaced = self._collections.get(name)
-        if replaced is not None:
-            replaced.close()
         self._collections[collection.name] = collection
         return collection
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import struct
 import threading
 import time
 
@@ -464,3 +466,123 @@ def test_search_accepts_attribute_filter(frontend):
         {"queries": [vectors[3].tolist()],
          "filter": {"field": "parity", "op": "between", "value": 1}},
     )[0] == 400
+
+
+def _median_ms(fn, repeats=21):
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - started) * 1000.0)
+    return float(np.median(samples))
+
+
+def test_keep_alive_round_trips_do_not_stall(loaded):
+    # A response sent as two writes (headers, then body) with Nagle on waited
+    # ~40 ms for the client's delayed ACK on every reused connection.
+    frontend, vectors = loaded
+    body = json.dumps({"queries": [vectors[5].tolist()], "top_k": 10})
+    conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=30.0)
+
+    def round_trip(method, path, payload=None):
+        headers = {"Content-Type": "application/json"} if payload else {}
+        conn.request(method, path, body=payload, headers=headers)
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+
+    try:
+        healthz_ms = _median_ms(lambda: round_trip("GET", "/healthz"))
+        search_ms = _median_ms(lambda: round_trip("POST", "/collections/demo/search", body))
+    finally:
+        conn.close()
+    collection = frontend.backend.get_collection("demo")
+    in_process_ms = _median_ms(lambda: collection.search(vectors[5:6], 10))
+    assert healthz_ms < 10.0
+    assert search_ms < 10.0
+    assert search_ms < in_process_ms + 5.0, (search_ms, in_process_ms)
+
+
+def _handler_threads():
+    return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+
+def test_client_gone_before_response_is_handled_quietly(capfd):
+    gate = threading.Event()
+    frontend = ServingFrontend(config=ServingConfig(queue_depth=4, workers=1)).start()
+    try:
+        request(frontend, "POST", "/collections", {"name": "c", "dimension": 4})
+        request(frontend, "POST", "/collections/c/insert", {"vectors": [[0.0, 1.0, 2.0, 3.0]]})
+        request(frontend, "POST", "/collections/c/flush", {})
+        started = threading.Event()
+
+        def occupy_worker():
+            started.set()
+            gate.wait(10.0)
+
+        blocker = frontend.admission.submit(occupy_worker)
+        assert started.wait(5.0)
+        body = json.dumps({"queries": [[1.0, 0.0, 0.0, 0.0]]}).encode("utf-8")
+        earlier_handlers = set(_handler_threads())
+        client = socket.create_connection(("127.0.0.1", frontend.port), timeout=10.0)
+        client.sendall(
+            b"POST /collections/c/search HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body)
+        )
+        deadline = time.monotonic() + 10.0
+        while frontend.admission.stats().queue_depth < 1:  # parsed and queued
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        # Zero linger: close() resets the connection, so the server's write
+        # of the search response fails instead of landing in a buffer.
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()
+        gate.set()
+        blocker.result(timeout=5.0)
+        while set(_handler_threads()) - earlier_handlers:  # the write has failed
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+
+        # The server still serves the next connection.
+        status, payload = request(
+            frontend, "POST", "/collections/c/search", {"queries": [[1.0, 0.0, 0.0, 0.0]]}
+        )
+        assert status == 200
+        assert payload["ids"][0][0] == 0
+        assert frontend.admission.stats().failed == 0
+    finally:
+        gate.set()
+        frontend.drain()
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def _strict_json(raw):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
+def test_padded_search_results_are_standard_json(frontend):
+    rows = np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32)
+    request(frontend, "POST", "/collections", {"name": "small", "dimension": 4})
+    request(frontend, "POST", "/collections/small/insert", {"vectors": rows.tolist()})
+    request(frontend, "POST", "/collections/small/flush", {})
+    conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=30.0)
+    try:
+        conn.request(
+            "POST", "/collections/small/search",
+            body=json.dumps({"queries": [rows[0].tolist()], "top_k": 5}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = _strict_json(response.read())
+    finally:
+        conn.close()
+    assert response.status == 200
+    # top_k exceeds the row count: the two padded slots are id -1, null.
+    assert payload["ids"][0][0] == 0
+    assert payload["ids"][0][3:] == [-1, -1]
+    assert payload["distances"][0][3:] == [None, None]
+    assert all(isinstance(d, float) for d in payload["distances"][0][:3])

@@ -36,6 +36,9 @@ class TestTenantSLO:
             {"recall_floor": 1.0001},
             {"p99_latency_ms": 0.0},
             {"cost_budget": -2.0},
+            # Non-finite targets could not be reported in standard JSON.
+            {"p99_latency_ms": float("inf")},
+            {"cost_budget": float("inf")},
         ],
     )
     def test_rejects_out_of_range_fields(self, kwargs):

@@ -401,3 +401,29 @@ class TestRecoverAll:
 
         with pytest.raises(DurabilityError):
             VectorDBServer().recover_all()
+
+
+class TestRecoverLiveCollection:
+    """Recovering over a served collection whose maintenance runs in the background."""
+
+    def test_repeated_recovery_keeps_every_row(self, tmp_path):
+        # The replaced collection must be closed before its directory is
+        # read: a background maintenance pass rotating the WAL mid-read
+        # used to raise FileNotFoundError or recover a stale row count.
+        config = SystemConfig(durability_mode="wal+checkpoint", maintenance_mode="background")
+        server = VectorDBServer(config, data_dir=str(tmp_path))
+        rng = np.random.default_rng(11)
+        collection = server.create_collection("live", 8)
+        rows = 0
+        for _ in range(20):
+            collection.insert(rng.normal(size=(50, 8)).astype(np.float32))
+            rows += 50
+            collection.flush()  # wakes the background maintenance worker
+            collection = server.recover_collection("live")
+            assert server.get_collection("live") is collection
+            stored = collection.num_rows + sum(
+                shard.segments.pending_rows for shard in collection.shards
+            )
+            assert stored == rows
+        server.shutdown()
+        assert _live_maintenance_threads() == []
